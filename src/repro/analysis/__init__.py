@@ -8,12 +8,11 @@
 * :mod:`repro.analysis.sweep` -- the sweep subsystem: declarative
   :class:`~repro.analysis.sweep.SweepSpec` grids with per-point seed
   derivation, a :class:`~repro.analysis.sweep.SweepExecutor` with serial
-  and process backends, JSON row emission, and the legacy
-  :func:`~repro.analysis.sweep.sweep` / :func:`~repro.analysis.sweep.cross_sweep`
-  helpers.
+  and process backends, and JSON row emission.
 * :mod:`repro.analysis.adaptive` -- adaptive measurement on top of the
-  sweep subsystem: sequential early stopping per point and a
-  budget-reallocating scheduler.
+  sweep subsystem: sequential early stopping per point, and the
+  budget-reallocating round policy (:class:`AdaptiveTrajectory`) with
+  its one-round resolver (:func:`~repro.analysis.adaptive.run_round`).
 * :mod:`repro.analysis.scenario` -- the declarative top layer: a frozen,
   hashable :class:`Scenario` describing the link configuration and the
   unified :class:`Experiment` front door over fixed/adaptive depth,
@@ -45,9 +44,8 @@ grid as a :class:`SweepSpec`, and run both through an
     # StopRule simulates only the batches the first run never needed.
 
 ``stop=None`` selects fixed depth (``num_packets`` per point, the mode
-wall-clock-pinned perf benchmarks need); the legacy ``sweep`` /
-``cross_sweep`` / params-dict ``run_link_ber_point`` entry points remain
-as deprecated shims over this path.
+wall-clock-pinned perf benchmarks need).  :meth:`Experiment.run` is the
+one in-process way to execute a grid.
 
 For serve-curves-on-demand deployments, :mod:`repro.service` runs this
 stack as a long-lived daemon: a broker dedupes requests against the
@@ -76,27 +74,25 @@ chunk-invariant batches (batch ``k`` of a point is seeded from child ``k``
 of the point's ``SeedSequence``), accumulating a :class:`BerMeasurement`
 until a :class:`StopRule` fires: the Wilson interval's relative half-width
 meets a target, an error-count target is reached, a zero-error point's
-upper bound drops below the resolution floor, or a traffic cap hits.  The
-:class:`AdaptiveScheduler` runs a whole grid this way under a global
-traffic budget, re-ranking points by interval looseness each round so the
-budget freed by early-stopped (low-SNR) points is reallocated to the
-starving high-SNR tail.  Because batch contents are pre-determined by
-their (point, batch index) key and stopping decisions happen at round
-barriers over deterministic counts, serial and multi-worker process runs
-produce bit-for-bit identical rows — including packets spent and stop
-reasons.
+upper bound drops below the resolution floor, or a traffic cap hits.
+:meth:`Experiment.run` drives an :class:`AdaptiveTrajectory` over the
+whole grid under a global traffic budget, re-ranking points by interval
+looseness each round so the budget freed by early-stopped (low-SNR)
+points is reallocated to the starving high-SNR tail.  Because batch
+contents are pre-determined by their (point, batch index) key and stopping
+decisions happen at round barriers over deterministic counts, serial and
+multi-worker process runs produce bit-for-bit identical rows — including
+packets spent and stop reasons.
 """
 
 from repro.analysis.adaptive import (
     AdaptivePointState,
-    AdaptiveScheduler,
     AdaptiveTrajectory,
     MeasurementBatch,
     StopRule,
     batch_seed_sequence,
     batch_store_key,
     run_link_ber_batch,
-    run_point_adaptive,
 )
 from repro.analysis.ber_stats import BerMeasurement, bin_errors_by_hint, wilson_interval
 from repro.analysis.link import LinkRunResult, LinkSimulator
@@ -108,17 +104,13 @@ from repro.analysis.sweep import (
     SweepExecutor,
     SweepPoint,
     SweepSpec,
-    cross_sweep,
     executor_from_env,
     link_simulator_for_params,
     rows_to_json,
-    run_link_ber_point,
-    sweep,
 )
 
 __all__ = [
     "AdaptivePointState",
-    "AdaptiveScheduler",
     "AdaptiveTrajectory",
     "BerMeasurement",
     "Experiment",
@@ -138,16 +130,12 @@ __all__ = [
     "batch_seed_sequence",
     "batch_store_key",
     "bin_errors_by_hint",
-    "cross_sweep",
     "executor_from_env",
     "format_percentage",
     "format_ratio",
     "link_simulator_for_params",
     "rows_to_json",
     "run_link_ber_batch",
-    "run_link_ber_point",
-    "run_point_adaptive",
     "run_scenario_point",
-    "sweep",
     "wilson_interval",
 ]

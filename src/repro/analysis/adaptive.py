@@ -4,26 +4,24 @@ The sweep subsystem (:mod:`repro.analysis.sweep`) runs a *fixed* packet
 count at every operating point.  That wastes traffic at both ends of a BER
 curve: a low-SNR point's BER is statistically settled after the first few
 packets, while a high-SNR point finishes with zero or two errors and a
-meaninglessly wide confidence interval.  This module turns the grid of
-fixed runs into a characterisation *service* — "give me this BER curve to
-±X% confidence within budget B" — in two layers:
+meaninglessly wide confidence interval.  This module measures each point
+in fixed-size batches until a :class:`StopRule` fires (Wilson interval
+tight enough, enough errors collected, traffic cap hit), under an optional
+**global** traffic budget:
 
-* :func:`run_point_adaptive` wraps any picklable chunk-runner in a
-  sequential-stopping loop for **one** point: fixed-size batches accumulate
-  a :class:`~repro.analysis.ber_stats.BerMeasurement` until a
-  :class:`StopRule` fires (Wilson interval tight enough, enough errors
-  collected, traffic cap hit).
-* :class:`AdaptiveScheduler` drives a whole
-  :class:`~repro.analysis.sweep.SweepSpec` through a
-  :class:`~repro.analysis.sweep.SweepExecutor` (serial or process backend)
-  under a **global** traffic budget: each round it dispatches one batch to
-  every unconverged point, loosest interval first, so the budget freed by
-  early-stopped points flows to the starving high-SNR tail.
-* :class:`AdaptiveTrajectory` is the scheduler's round logic factored out
-  as a pull-based state machine (``start_round`` / ``consume`` /
-  ``rows``), the batch-granular dispatch hook long-lived callers — the
-  characterisation service broker in :mod:`repro.service` — use to
-  interleave many concurrent runs through one worker fleet.
+* :class:`AdaptiveTrajectory` is the policy, a pull-based state machine
+  (``start_round`` / ``consume`` / ``rows``).  Each round it selects one
+  batch for every unconverged point, loosest interval first, so the
+  budget freed by early-stopped points flows to the starving high-SNR
+  tail.
+* :func:`run_round` resolves one round's batches: store probe, fused
+  plan, dispatch through a :class:`~repro.analysis.sweep.SweepExecutor`,
+  settle, store append.
+
+:meth:`repro.analysis.scenario.Experiment.run` is the one in-process
+driver that alternates the two.  The characterisation service broker in
+:mod:`repro.service` drives the same trajectory through its own resolver,
+which adds request coalescing, leases and priorities on top.
 
 Determinism
 -----------
@@ -65,15 +63,11 @@ import numpy as np
 from repro.analysis.ber_stats import BerMeasurement
 from repro.obs.phases import get_phase_hook
 from repro.analysis.fused import FusedBatchGroup, FusedBatchRunner, plan_fused_round
-from repro.analysis.sweep import SweepError
+from repro.analysis.sweep import SweepError, link_simulator_for_params
 
 #: Looseness denominator floor when a rule has no ``ber_floor``: keeps the
 #: ranking finite while still ordering zero-error points loosest.
 _TINY_BER = 1e-300
-
-#: Reserved keys a chunk-runner result must provide (everything else is an
-#: extra merged across batches).
-COUNT_KEYS = ("errors", "trials")
 
 
 # ---------------------------------------------------------------------- #
@@ -100,8 +94,8 @@ def batch_store_key(batch):
 
     The coordinates a :class:`~repro.analysis.store.StoreView` files the
     batch under are exactly the coordinates its random stream derives
-    from, so the key IS the stream's identity.  Shared by the scheduler's
-    store path and the characterisation service broker — two callers
+    from, so the key IS the stream's identity.  Shared by :func:`run_round`
+    and the characterisation service broker — two callers
     filing the same batch must agree on the key byte for byte.
     """
     return tuple(int(word) for word in batch.point.seed_sequence.spawn_key)
@@ -255,7 +249,7 @@ class StopRule:
         The Wilson half-width relative to ``max(ber, ber_floor)``; infinite
         for a point with no data yet.  Zero-error points rank loosest
         (their point estimate contributes nothing to the denominator),
-        which is exactly the starving high-SNR tail the scheduler should
+        which is exactly the starving high-SNR tail the trajectory should
         feed first.
         """
         if measurement is None or measurement.bits <= 0:
@@ -375,7 +369,13 @@ class AdaptivePointState:
             errors, trials = measurement.errors, measurement.bits
             ber = measurement.ber
             low, high = measurement.interval
-        looseness = (stop or StopRule()).looseness(measurement)
+        # The looseness ratio is undefined without data, or for a zero-error
+        # point without a ber_floor (its denominator would be _TINY_BER):
+        # report null rather than a sentinel-sized float.
+        rule = stop or StopRule()
+        looseness = None
+        if measurement is not None and (errors or rule.ber_floor):
+            looseness = rule.looseness(measurement)
         row.update(
             errors=errors,
             trials=trials,
@@ -393,42 +393,6 @@ class AdaptivePointState:
         return row
 
 
-def run_point_adaptive(point, chunk_runner, stop, batch_packets=32,
-                       max_batches=None):
-    """Adaptively measure one point: run batches until ``stop`` fires.
-
-    The in-process sequential loop behind the adaptive mode of
-    :func:`repro.analysis.sweep.run_link_ber_point`: batch ``k`` is seeded
-    by :func:`batch_seed_sequence`, so the accumulated result is a pure
-    function of ``(point, chunk_runner, stop, batch_packets)`` no matter
-    where or when it runs.  Returns the per-point row (see
-    :meth:`AdaptivePointState.row`).
-
-    ``stop`` must be able to terminate on its own (``max_packets`` or
-    ``target_errors`` plus converging statistics) unless ``max_batches``
-    bounds the loop explicitly.
-    """
-    if stop is None:
-        raise ValueError("run_point_adaptive needs a StopRule; for fixed "
-                         "depth just run the chunk runner directly")
-    if batch_packets < 1:
-        raise ValueError("batch_packets must be positive")
-    if max_batches is None and stop.max_packets is None:
-        raise ValueError(
-            "unbounded adaptive point: give the StopRule a max_packets cap "
-            "or pass max_batches"
-        )
-    state = AdaptivePointState(point)
-    while state.stop_reason is None:
-        batch = state.next_batch(batch_packets)
-        state.consume(batch, chunk_runner(batch), confidence=stop.confidence)
-        state.stop_reason = stop.evaluate(state.measurement, state.packets)
-        if state.stop_reason is None and max_batches is not None \
-                and state.batches >= max_batches:
-            state.stop_reason = "max_batches"
-    return state.row(stop)
-
-
 # ---------------------------------------------------------------------- #
 # Executor-facing dispatch shims
 # ---------------------------------------------------------------------- #
@@ -436,7 +400,7 @@ class _BatchPoint:
     """Present a :class:`MeasurementBatch` to :class:`SweepExecutor`.
 
     The executor only needs ``index`` (dispatch order within the round),
-    ``params`` (merged into the row — empty here, the scheduler reassembles
+    ``params`` (merged into the row — empty here, the trajectory assembles
     rows itself) and ``label`` (error reporting).  A
     :class:`~repro.analysis.fused.FusedBatchGroup` presents the same
     surface, so fused rounds ride the same adapter.
@@ -485,27 +449,39 @@ class _BatchRunner:
 # The trajectory state machine
 # ---------------------------------------------------------------------- #
 class AdaptiveTrajectory:
-    """The executor-free core of an adaptive run, one round at a time.
+    """An adaptive run over a sweep grid, one round at a time.
 
-    :class:`AdaptiveScheduler` owns the *loop* (rank, dispatch, fold,
-    repeat); this class is the loop's state machine, pulled out so
-    batch-granular callers — above all the characterisation service
-    broker (:mod:`repro.service.broker`) — can interleave the batches of
-    many concurrent runs through one shared worker fleet instead of
-    blocking inside a per-run ``scheduler.run()`` call:
+    The state machine of the round loop, free of any executor, so every
+    caller drives the same decisions: :meth:`Experiment.run
+    <repro.analysis.scenario.Experiment.run>` in process, and the
+    characterisation service broker (:mod:`repro.service.broker`), which
+    interleaves the batches of many concurrent runs through one shared
+    worker fleet:
 
-    * :meth:`start_round` selects this round's batches (loosest interval
-      first, budget permitting) and debits the budget — exactly the
-      decisions ``AdaptiveScheduler`` makes at a round barrier.
+    * :meth:`start_round` ranks the unconverged points by
+      :meth:`StopRule.looseness` (ties broken by grid index), selects
+      this round's batches loosest first, budget permitting, and debits
+      the budget.  When the remaining budget cannot fund a batch for
+      every active point only the loosest affordable subset runs; when
+      it cannot fund a single batch, every still-active point stops with
+      reason ``"budget"``.
     * :meth:`consume` folds one batch's result back in, in any order; the
       next round may start once :attr:`round_in_flight` clears.
     * :meth:`rows` renders the accumulated states in grid order.
 
+    ``stop`` is the :class:`StopRule` shared by every point (``None``
+    runs points round-robin until the budget is exhausted);
+    ``batch_packets`` is the chunk-invariance unit (changing it changes
+    the random draws); ``budget`` is the global traffic budget in packets
+    (``None`` for uncapped, in which case the rule must carry a
+    ``max_packets`` cap so the run terminates).
+
     Because batch contents are pure functions of ``(point, batch
     index)``, *who* runs a round's batches and in what order they return
-    is invisible in the result: driving a trajectory by hand, through a
-    scheduler or through the service fleet produces bit-for-bit the same
-    rows, budget accounting and stop reasons.
+    is invisible in the result: driving a trajectory by hand, through
+    :meth:`Experiment.run <repro.analysis.scenario.Experiment.run>` or
+    through the service fleet produces bit-for-bit the same rows, budget
+    accounting and stop reasons.
     """
 
     def __init__(self, spec, stop=None, batch_packets=32, budget=None):
@@ -623,184 +599,81 @@ class AdaptiveTrajectory:
 
 
 # ---------------------------------------------------------------------- #
-# The scheduler
+# One round through an executor
 # ---------------------------------------------------------------------- #
-class AdaptiveScheduler:
-    """Drive a sweep adaptively under a global traffic budget.
+def run_round(batches, chunk_runner, executor, on_error, store):
+    """One round's chunk-runner results, served from the store or run.
 
-    Each round, every unconverged point is ranked by
-    :meth:`StopRule.looseness` (ties broken by grid index) and dispatched
-    one :class:`MeasurementBatch` through the executor, loosest first; as
-    points stop, the batches they no longer consume are — implicitly —
-    budget reallocated to the points still running, which is how the
-    starving high-SNR tail ends up with most of the traffic.  When the
-    remaining budget cannot fund a round for every active point, only the
-    loosest affordable subset runs; when it cannot fund a single batch,
-    every still-active point stops with reason ``"budget"``.
+    Returns results aligned with ``batches``.  ``store`` is an optional
+    :class:`~repro.analysis.store.StoreView` keyed by ``(point spawn_key,
+    batch index)``: hits are returned without touching the executor, and
+    only the misses are dispatched through ``executor`` (a
+    :class:`~repro.analysis.sweep.SweepExecutor`).  Fresh results are
+    appended to the store, errors excluded.  A cached batch carries
+    exactly the result its simulation would have produced, so a warm
+    round is bit-for-bit the cold one.
 
-    Parameters
-    ----------
-    stop:
-        The :class:`StopRule` shared by every point.  ``None`` disables
-        convergence checks entirely: points run round-robin until the
-        budget is exhausted (pure budget-driven measurement).
-    batch_packets:
-        Packets per dispatched batch — the chunk-invariance unit.  Results
-        for a given ``batch_packets`` never depend on backend or budget;
-        changing ``batch_packets`` changes the random draws (it is part of
-        the workload, like ``packet_bits``).
-    budget:
-        Global traffic budget in packets (``None`` for uncapped; the stop
-        rule must then carry a ``max_packets`` cap so the run terminates).
-    executor:
-        The :class:`~repro.analysis.sweep.SweepExecutor` used to run each
-        round's batches (default: a fresh serial executor).  The chunk
-        runner must be picklable for a process executor, exactly as for a
-        plain sweep.
-    fused:
-        When ``True`` (default) and the chunk-runner is the built-in link
-        runner, each round's store-miss batches are grouped by
-        :func:`~repro.analysis.fused.fuse_key` and simulated as fused
-        tensor passes (see :mod:`repro.analysis.fused`).  Purely a
-        throughput knob: under the exact float64 policy the rows are
-        bit-for-bit identical with it on or off.
+    When ``chunk_runner`` is the built-in :func:`run_link_ber_batch`,
+    misses are grouped by :func:`~repro.analysis.fused.fuse_key` and each
+    group runs as one fused tensor pass, its per-member results
+    distributed back to the member batches' slots.  Under the exact
+    float64 policy that changes no bit of any result; any other runner
+    (including a wrapper around the built-in one) runs batch by batch.
+
+    ``on_error`` follows the executor contract: ``"raise"`` raises
+    :class:`~repro.analysis.sweep.SweepError` naming the failing batch,
+    ``"capture"`` returns an ``{"error": ...}`` result in its slot.
     """
-
-    def __init__(self, stop=None, batch_packets=32, budget=None, executor=None,
-                 fused=True):
-        if batch_packets < 1:
-            raise ValueError("batch_packets must be positive")
-        if budget is not None and budget < 1:
-            raise ValueError("budget must be positive")
-        if budget is None and (stop is None or stop.max_packets is None):
-            raise ValueError(
-                "unbounded adaptive sweep: give the scheduler a budget or "
-                "the StopRule a max_packets cap"
-            )
-        if executor is None:
-            from repro.analysis.sweep import SweepExecutor
-
-            executor = SweepExecutor("serial")
-        self.stop = stop
-        self.batch_packets = int(batch_packets)
-        self.budget = None if budget is None else int(budget)
-        self.executor = executor
-        self.fused = bool(fused)
-
-    # ------------------------------------------------------------------ #
-    def run(self, spec, chunk_runner=None, on_error="raise", store=None):
-        """Adaptively measure every point of ``spec``; rows in grid order.
-
-        Each row is the point's ``params`` plus the accumulated counts,
-        Wilson interval bounds, looseness, packets/batches spent, the
-        ``stop_reason`` (``"converged"``, ``"target_errors"``,
-        ``"ber_floor"``, ``"max_packets"``, ``"budget"`` or ``"error"``)
-        and the merged extras.  ``on_error`` follows the executor contract:
-        ``"raise"`` aborts on the first failing batch, ``"capture"`` stops
-        the affected point with reason ``"error"`` and keeps going.
-
-        ``store`` is an optional batch cache — a
-        :class:`~repro.analysis.store.StoreView` keyed by ``(point
-        spawn_key, batch index)``, normally supplied by
-        :meth:`repro.analysis.scenario.Experiment.run`.  Batches found in
-        the store are consumed without touching the executor; simulated
-        batches are appended after they return.  Because a cached batch
-        carries exactly the result its simulation would have produced,
-        the trajectory — stopping decisions, budget accounting, rows —
-        is bit-for-bit identical to the cold run's.  Cache hits debit the
-        budget like any dispatched batch for the same reason: a warm run
-        must replay the cold run's decisions, not rediscover them with
-        free traffic.  Error rows are never cached.
-        """
-        if on_error not in ("raise", "capture"):
-            raise ValueError("on_error must be 'raise' or 'capture'")
-        if chunk_runner is None:
-            chunk_runner = run_link_ber_batch
-        trajectory = AdaptiveTrajectory(
-            spec, stop=self.stop, batch_packets=self.batch_packets,
-            budget=self.budget,
-        )
-        runner = _BatchRunner(chunk_runner)
-
-        # One worker pool for the whole run: a round often carries only a
-        # few small batches, so paying pool startup per round would dwarf
-        # the work (the session is a no-op for serial executors).
-        with self.executor.session():
-            while True:
-                batches = trajectory.start_round()
-                if not batches:
-                    break
-                results = self._round_results(batches, runner, on_error, store)
-                for batch, result in zip(batches, results):
-                    trajectory.consume(batch, result)
-        return trajectory.rows()
-
-    def _round_results(self, batches, runner, on_error, store):
-        """One round's chunk-runner results, served from the store or run.
-
-        Returns results aligned with ``batches``; only store misses are
-        dispatched through the executor, and their fresh results are
-        appended to the store (errors excluded).  With :attr:`fused` on
-        and the built-in link chunk-runner, misses are grouped by
-        :func:`~repro.analysis.fused.fuse_key` and each group runs as one
-        fused tensor pass, its per-member results distributed back to the
-        member batches' slots.
-        """
-        results = [None] * len(batches)
-        to_run = list(range(len(batches)))
-        if store is not None:
-            to_run = []
-            for i, batch in enumerate(batches):
-                cached = store.get(batch_store_key(batch), batch.index,
-                                   batch.num_packets)
-                if cached is None:
-                    to_run.append(i)
-                else:
-                    results[i] = cached
-        if not to_run:
-            return results
-        slot_of = {(batches[i].point.index, batches[i].index): i
-                   for i in to_run}
-        work = [batches[i] for i in to_run]
-        if self.fused and runner.chunk_runner is run_link_ber_batch:
-            groups, singles = plan_fused_round(work)
-            work = groups + singles
-        dispatch = [_BatchPoint(position, item)
-                    for position, item in enumerate(work)]
-        # In "raise" mode the executor itself raises SweepError naming
-        # the failing (point, batch) with the full worker traceback;
-        # per-member failures inside a fused group are captured by the
-        # runner instead and re-raised below with the member's label.
-        fresh = self.executor.run(dispatch, runner, on_error=on_error)
-
-        def settle(batch, result):
-            i = slot_of[(batch.point.index, batch.index)]
-            failed = "error" in result and "errors" not in result
-            if failed and on_error == "raise":
-                raise SweepError(_BatchPoint(i, batch), result["error"])
-            results[i] = result
-            if store is not None and not failed:
-                store.put(batch_store_key(batch), batch.index,
-                          batch.num_packets, result)
-
-        for item, result in zip(work, fresh):
-            if isinstance(item, FusedBatchGroup):
-                members = result.get("results")
-                if members is None:
-                    # The whole group errored before the per-member
-                    # fallback could run; the error applies to every slot.
-                    members = [result] * len(item.batches)
-                for batch, member in zip(item.batches, members):
-                    settle(batch, member)
+    results = [None] * len(batches)
+    to_run = list(range(len(batches)))
+    if store is not None:
+        to_run = []
+        for i, batch in enumerate(batches):
+            cached = store.get(batch_store_key(batch), batch.index,
+                               batch.num_packets)
+            if cached is None:
+                to_run.append(i)
             else:
-                settle(item, result)
+                results[i] = cached
+    if not to_run:
         return results
+    slot_of = {(batches[i].point.index, batches[i].index): i
+               for i in to_run}
+    work = [batches[i] for i in to_run]
+    if chunk_runner is run_link_ber_batch:
+        groups, singles = plan_fused_round(work)
+        work = groups + singles
+    dispatch = [_BatchPoint(position, item)
+                for position, item in enumerate(work)]
+    # In "raise" mode the executor itself raises SweepError naming the
+    # failing (point, batch) with the full worker traceback; per-member
+    # failures inside a fused group are captured by the runner instead
+    # and re-raised below with the member's label.
+    fresh = executor.run(dispatch, _BatchRunner(chunk_runner),
+                         on_error=on_error)
 
-    def __repr__(self):
-        return "AdaptiveScheduler(stop=%r, batch_packets=%d, budget=%r, executor=%r)" % (
-            self.stop, self.batch_packets, self.budget, self.executor,
-        )
+    def settle(batch, result):
+        i = slot_of[(batch.point.index, batch.index)]
+        failed = "error" in result and "errors" not in result
+        if failed and on_error == "raise":
+            raise SweepError(_BatchPoint(i, batch), result["error"])
+        results[i] = result
+        if store is not None and not failed:
+            store.put(batch_store_key(batch), batch.index,
+                      batch.num_packets, result)
 
+    for item, result in zip(work, fresh):
+        if isinstance(item, FusedBatchGroup):
+            members = result.get("results")
+            if members is None:
+                # The whole group errored before the per-member fallback
+                # could run; the error applies to every slot.
+                members = [result] * len(item.batches)
+            for batch, member in zip(item.batches, members):
+                settle(batch, member)
+        else:
+            settle(item, result)
+    return results
 
 # ---------------------------------------------------------------------- #
 # Built-in chunk-runner
@@ -808,17 +681,14 @@ class AdaptiveScheduler:
 def run_link_ber_batch(batch):
     """Picklable chunk-runner: one batch of link packets at one point.
 
-    The adaptive analogue of
-    :func:`repro.analysis.sweep.run_link_ber_point`: understands the same
-    parameters (``rate_mbps``, ``snr_db``, ``decoder``, ``packet_bits``,
-    ``batch_size``, ``fading``, ``llr_format``, ``demapper_scaled``), but
-    simulates ``batch.num_packets`` packets seeded from ``batch.seed``.
-    Absolute packet indices (for swept-SNR or fading callables) start at
-    ``batch.first_packet_index``, so a point's fading trace is one
-    continuous process regardless of how many batches end up running.
+    Understands the link parameters of
+    :func:`repro.analysis.sweep.link_simulator_for_params` plus
+    ``batch_size``, but simulates ``batch.num_packets`` packets seeded
+    from ``batch.seed``.  Absolute packet indices (for swept-SNR or fading
+    callables) start at ``batch.first_packet_index``, so a point's fading
+    trace is one continuous process regardless of how many batches end up
+    running.
     """
-    from repro.analysis.sweep import link_simulator_for_params
-
     simulator = link_simulator_for_params(
         batch.point.params, seed=batch.seed, point_seed=batch.point.seed
     )

@@ -3,10 +3,8 @@
 Every figure and ablation in this repository describes the same thing: a
 *link configuration* (code rate/decoder, channel and fading, LLR format
 and demapper scaling, packet shape) swept over a grid of operating points
-to some target measurement depth.  Historically that description lived in
-a stringly-typed ``point.params`` dict that
-:func:`~repro.analysis.sweep.run_link_ber_point` interpreted by
-convention; this module makes it first class:
+to some target measurement depth.  This module makes that description
+first class:
 
 * :class:`Scenario` is a validated, frozen dataclass naming the link
   configuration.  It round-trips through :meth:`Scenario.to_dict` /
@@ -19,9 +17,7 @@ convention; this module makes it first class:
   (the ``executor`` argument of :meth:`Experiment.run`), and optional
   persistence/resume through a :class:`~repro.analysis.store.ResultStore`.
 * :func:`run_scenario_point` is the canonical picklable link point-runner
-  behind the fixed-depth default; the legacy params-dict entry points
-  (``run_link_ber_point``, ``sweep``, ``cross_sweep``) are deprecated
-  shims over this layer.
+  behind the fixed-depth default.
 
 Scenario versus workload knobs
 ------------------------------
@@ -58,7 +54,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.analysis.sweep import SweepSpec, _stable_token
+from repro.analysis.adaptive import (AdaptiveTrajectory, run_link_ber_batch,
+                                     run_round)
+from repro.analysis.sweep import (SweepSpec, _stable_token, executor_from_env,
+                                  link_simulator_for_params)
 
 #: Keyword arguments a declarative ``fading`` mapping may carry (the
 #: signature of :class:`repro.channel.fading.JakesFadingProcess` plus the
@@ -254,20 +253,6 @@ class Scenario:
                 % (", ".join(sorted(unknown)), ", ".join(sorted(known))))
         return cls(**data)
 
-    @classmethod
-    def from_params(cls, params):
-        """Build a scenario from a legacy sweep ``params`` dict.
-
-        Picks out the link-configuration keys and ignores workload knobs
-        (``num_packets``, ``batch_size``, ``stop``, ``batch_packets``,
-        custom runner parameters).  This is what the deprecated
-        params-dict entry points use internally, so their validation is
-        the Scenario's, not an ad-hoc copy.
-        """
-        known = {field.name for field in fields(cls)}
-        picked = {name: params[name] for name in known if name in params}
-        return cls(**picked)
-
     def content_hash(self):
         """A canonical SHA-256 hex digest of the declarative form.
 
@@ -284,7 +269,7 @@ class Scenario:
 
         ``None`` fields are omitted (they arrive per point, from sweep
         axes); ``demapper_scaled`` is omitted when ``False`` so a default
-        scenario adds nothing a legacy constants dict did not carry.
+        scenario adds no constant to the grid.
         """
         out = {}
         for name in ("rate_mbps", "snr_db", "decoder", "packet_bits",
@@ -335,62 +320,26 @@ def is_scenario_like(obj):
 # Canonical link point-runner
 # ---------------------------------------------------------------------- #
 def run_scenario_point(point):
-    """Picklable point-runner: one link BER measurement per operating point.
+    """Picklable point-runner: one fixed-depth link BER measurement.
 
-    The canonical implementation behind fixed-depth link experiments (and
-    the deprecated ``run_link_ber_point`` shim).  The link configuration
-    is validated as a :class:`Scenario` built from the point's params
-    (axes plus constants); measurement depth comes from the workload
-    knobs:
-
-    ``stop=None`` (default)
-        Fixed depth — exactly ``num_packets`` packets, one seed stream per
-        point (the wall-clock-pinned perf benchmarks rely on this mode
-        costing the same everywhere).
-    ``stop=StopRule(...)``
-        Adaptive depth — the point runs in fixed-size batches of
-        ``batch_packets`` packets (default ``batch_size``) through
-        :func:`repro.analysis.adaptive.run_point_adaptive` until the rule
-        fires; ``num_packets`` becomes the per-point traffic cap when the
-        rule itself has no ``max_packets``.  The row gains ``packets``,
-        ``batches``, ``stop_reason`` and Wilson interval bounds.
+    The default runner of a fixed-depth :class:`Experiment`: exactly
+    ``num_packets`` packets (default 32) in simulation batches of
+    ``batch_size``, one seed stream per point, so every point costs the
+    same everywhere (the wall-clock-pinned perf benchmarks rely on this).
+    The point's link parameters are validated as a :class:`Scenario`
+    first.  Adaptive depth is an :class:`Experiment` argument, never a
+    point parameter: a ``stop`` in the params raises :class:`ValueError`
+    instead of silently running at fixed depth.
     """
     params = point.params
-    Scenario.from_params(params)  # validate the link description early
-    stop = params.get("stop")
-    if stop is not None:
-        from repro.analysis.adaptive import run_link_ber_batch, run_point_adaptive
-
-        if stop.max_packets is None:
-            stop = stop.replace(max_packets=int(params.get("num_packets", 32)))
-        row = run_point_adaptive(
-            point,
-            run_link_ber_batch,
-            stop,
-            batch_packets=int(
-                params.get("batch_packets", params.get("batch_size", 32))
-            ),
-        )
-        # The spec's params are already in every sweep row; return only the
-        # measured quantities, in the fixed-mode vocabulary plus the
-        # adaptive extras.
-        return {
-            "seed": point.seed,
-            "num_bits": row["trials"],
-            "bit_errors": row["errors"],
-            "ber": row["ber"],
-            "ber_low": row["ber_low"],
-            "ber_high": row["ber_high"],
-            "packet_error_rate": (
-                row["packet_errors"] / row["packets"] if row["packets"] else 0.0
-            ),
-            "packets": row["packets"],
-            "batches": row["batches"],
-            "stop_reason": row["stop_reason"],
-        }
-
-    from repro.analysis.sweep import link_simulator_for_params
-
+    if params.get("stop") is not None:
+        raise ValueError(
+            "'stop' found in the point params of %s; adaptive depth is "
+            "selected with Experiment(stop=...), not per point"
+            % point.label())
+    # Axis values never passed through a Scenario constructor.
+    Scenario(**{field.name: params[field.name] for field in fields(Scenario)
+                if field.name in params})
     simulator = link_simulator_for_params(params, seed=point.seed)
     result = simulator.run(
         int(params.get("num_packets", 32)),
@@ -411,11 +360,14 @@ def run_scenario_point(point):
 class Experiment:
     """One link scenario, swept over a grid, to a chosen measurement depth.
 
-    The unified front door over the sweep and adaptive subsystems:
+    The one in-process driver over the sweep and adaptive subsystems:
     fixed-depth and adaptive measurement, serial and process execution,
-    and store-backed resume are all selected by arguments rather than by
-    choosing among ``SweepExecutor.run`` / ``run_point_adaptive`` /
-    ``AdaptiveScheduler`` call styles.
+    and store-backed resume are all selected by arguments.  Fixed depth
+    is one :meth:`SweepExecutor.run <repro.analysis.sweep.SweepExecutor.run>`
+    over the grid; adaptive depth alternates an
+    :class:`~repro.analysis.adaptive.AdaptiveTrajectory` (which batches
+    run next) with :func:`~repro.analysis.adaptive.run_round` (store
+    probe, fused dispatch, store append) until every point stops.
 
     Parameters
     ----------
@@ -428,15 +380,14 @@ class Experiment:
         The :class:`~repro.analysis.sweep.SweepSpec` naming the operating
         point axes, any extra workload constants (``num_packets``,
         ``batch_size``, runner-specific knobs) and the master seed.
-        ``stop`` must *not* appear among the constants — it is an
+        ``stop`` must *not* appear among the constants or axes — it is an
         experiment-level argument here, which is what keeps the store
         namespace independent of the stopping rule.
     stop:
         ``None`` for fixed depth (every point runs ``num_packets``
         packets through the point-runner), or a
         :class:`~repro.analysis.adaptive.StopRule` for adaptive depth
-        (fixed-size batches until the rule fires, scheduled by an
-        :class:`~repro.analysis.adaptive.AdaptiveScheduler`).
+        (fixed-size batches until the rule fires, loosest points first).
     store:
         Optional :class:`~repro.analysis.store.ResultStore`.  Requires a
         declarative ``scenario`` and a ``stop`` rule (only the
@@ -453,9 +404,9 @@ class Experiment:
     batch_packets:
         Adaptive batch quantum (the chunk-invariance unit).  Defaults to
         the sweep constants' ``batch_packets``, then ``batch_size``, then
-        32 — mirroring the legacy params-dict behaviour.
+        32.
     budget:
-        Optional global packet budget for the adaptive scheduler.  Cache
+        Optional global packet budget for the adaptive run.  Cache
         hits debit the budget exactly like simulated batches, so a warm
         run replays the cold run's trajectory bit for bit.
     """
@@ -469,11 +420,11 @@ class Experiment:
                 "scenario must implement the Scenario protocol (to_dict, "
                 "content_hash, params, is_declarative) or be None; got %r"
                 % (scenario,))
-        if "stop" in sweep.constants:
+        if "stop" in sweep.constants or "stop" in sweep.axes:
             raise ValueError(
-                "'stop' found in the sweep constants; the stopping rule is "
-                "an Experiment-level argument (stop=...) so that the result "
-                "store namespace stays independent of it")
+                "'stop' found in the sweep constants or axes; the stopping "
+                "rule is an Experiment-level argument (stop=...) so that the "
+                "result store namespace stays independent of it")
         if stop is None:
             if budget is not None:
                 raise ValueError(
@@ -554,8 +505,6 @@ class Experiment:
             return self.runner
         if self.stop is None:
             return run_scenario_point
-        from repro.analysis.adaptive import run_link_ber_batch
-
         return run_link_ber_batch
 
     def _runner_name(self):
@@ -615,8 +564,8 @@ class Experiment:
         over this experiment's grid.
 
         The batch-granular face of :meth:`run`: ``start_round()`` /
-        ``consume()`` expose exactly the round decisions the scheduler
-        would make, so a long-lived caller (the characterisation service
+        ``consume()`` expose exactly the round decisions :meth:`run`
+        makes, so a long-lived caller (the characterisation service
         broker) can interleave this experiment's batches with other
         work — serving each from the store or a worker fleet — and still
         land on bit-for-bit the rows :meth:`run` produces.  Adaptive
@@ -627,8 +576,6 @@ class Experiment:
             raise ValueError(
                 "trajectory() needs the adaptive path (stop=StopRule(...)): "
                 "only fixed-size batches are dispatchable units of work")
-        from repro.analysis.adaptive import AdaptiveTrajectory
-
         return AdaptiveTrajectory(
             self.spec(), stop=self.stop,
             batch_packets=self.resolved_batch_packets(), budget=self.budget,
@@ -644,32 +591,44 @@ class Experiment:
         changes; pass ``SweepExecutor("serial")`` explicitly for
         wall-clock-pinned measurements.  Fixed-depth rows follow the
         point-runner's vocabulary; adaptive rows follow
-        :meth:`repro.analysis.adaptive.AdaptivePointState.row`.
-        """
-        if executor is None:
-            from repro.analysis.sweep import executor_from_env
+        :meth:`repro.analysis.adaptive.AdaptivePointState.row`, whose
+        ``stop_reason`` is ``"converged"``, ``"target_errors"``,
+        ``"ber_floor"``, ``"max_packets"``, ``"budget"`` or ``"error"``.
 
+        ``on_error="raise"`` aborts on the first failing point or batch;
+        ``"capture"`` records the error in its row (an adaptive point
+        stops with reason ``"error"``) and keeps going.  With a store
+        attached, batches found in it are consumed without touching the
+        executor and simulated batches are appended; cache hits debit the
+        budget like simulated ones, so a warm run replays the cold run's
+        decisions instead of rediscovering them with free traffic.
+        """
+        if on_error not in ("raise", "capture"):
+            raise ValueError("on_error must be 'raise' or 'capture'")
+        if executor is None:
             executor = executor_from_env()
-        spec = self.spec()
         runner = self.resolved_runner()
         self.last_store_stats = None
         if self.stop is None:
-            return executor.run(spec, runner, on_error=on_error)
+            return executor.run(self.spec(), runner, on_error=on_error)
 
-        from repro.analysis.adaptive import AdaptiveScheduler
-
-        scheduler = AdaptiveScheduler(
-            stop=self.stop,
-            batch_packets=self.resolved_batch_packets(),
-            budget=self.budget,
-            executor=executor,
-        )
+        trajectory = self.trajectory()
         view = self.store_view()
-        rows = scheduler.run(spec, runner, on_error=on_error, store=view)
+        # One worker pool for the whole run: a round often carries only a
+        # few small batches, so paying pool startup per round would dwarf
+        # the work (the session is a no-op for serial executors).
+        with executor.session():
+            while True:
+                batches = trajectory.start_round()
+                if not batches:
+                    break
+                results = run_round(batches, runner, executor, on_error, view)
+                for batch, result in zip(batches, results):
+                    trajectory.consume(batch, result)
         if view is not None:
             self.last_store_stats = {"hits": view.hits, "misses": view.misses}
             view.flush_stats()
-        return rows
+        return trajectory.rows()
 
     def __repr__(self):
         return ("Experiment(scenario=%r, sweep=%r, stop=%r, store=%r, "

@@ -21,7 +21,7 @@ has never seen.  This module is that cache:
 Resume semantics
 ----------------
 The store holds *batch* results, never rows: stopping decisions are
-replayed by the scheduler from the (cached or fresh) batch counts, which
+replayed by the trajectory from the (cached or fresh) batch counts, which
 is what makes a warm run bit-for-bit identical to a cold one — packets
 spent and stop reasons included — while a tighter
 :class:`~repro.analysis.adaptive.StopRule` re-run simulates only the

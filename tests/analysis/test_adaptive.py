@@ -9,33 +9,35 @@ The contracts under test:
   depends only on ``(point, k)``: stopping decisions, worker count and
   scheduling order can decide only *whether* batch ``k`` runs, never what
   it contains.
-* **Scheduler determinism** (the acceptance property) — for a fixed spec,
-  rule and budget, the serial and multi-worker process backends produce
-  bit-for-bit identical rows, including packets spent and stop reasons.
+* **Run determinism** (the acceptance property) — for a fixed spec, rule
+  and budget, ``Experiment.run`` on the serial and multi-worker process
+  backends produces bit-for-bit identical rows, including packets spent
+  and stop reasons.
 * **Budget reallocation** — traffic freed by early-stopped points flows to
   the loosest (high-SNR) points, and an exhausted budget stops the rest
   with reason ``"budget"``.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.adaptive import (
     AdaptivePointState,
-    AdaptiveScheduler,
     AdaptiveTrajectory,
     MeasurementBatch,
     StopRule,
     batch_seed_sequence,
     run_link_ber_batch,
-    run_point_adaptive,
 )
 from repro.analysis.ber_stats import BerMeasurement
+from repro.analysis.scenario import Experiment, run_scenario_point
 from repro.analysis.sweep import (
     SweepError,
     SweepExecutor,
     SweepSpec,
-    run_link_ber_point,
+    rows_to_json,
 )
 
 #: A miniature link workload: small packets keep every test here fast.
@@ -74,6 +76,19 @@ class _FixedSequenceRunner:
     def __call__(self, batch):
         errors = self.errors_by_batch[min(batch.index, len(self.errors_by_batch) - 1)]
         return {"errors": errors, "trials": self.trials}
+
+
+def run_adaptive(spec, runner=None, stop=None, budget=None, executor=None,
+                 on_error="raise", batch_packets=8):
+    """Rows of one adaptive ``Experiment`` over ``spec`` (serial default)."""
+    experiment = Experiment(sweep=spec, stop=stop, runner=runner,
+                            batch_packets=batch_packets, budget=budget)
+    return experiment.run(executor or SweepExecutor("serial"),
+                          on_error=on_error)
+
+
+#: A rule that never fires on its own: the budget alone ends the run.
+NEVER_STOP = StopRule(rel_half_width=None, min_errors=0, max_packets=10**6)
 
 
 def fail_on_second_batch(batch):
@@ -166,10 +181,16 @@ class TestBatchSeeding:
 
 
 class TestRunPointAdaptive:
+    """One point measured adaptively through ``Experiment``."""
+
+    def one_point_spec(self):
+        return SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
+                         constants=SMALL_CONSTANTS, seed=23)
+
     def test_stops_when_converged_and_accumulates(self):
         runner = _FixedSequenceRunner([0, 0, 400, 400])
         rule = StopRule(rel_half_width=0.2, min_errors=100, max_packets=400)
-        row = run_point_adaptive(one_point(), runner, rule, batch_packets=8)
+        (row,) = run_adaptive(self.one_point_spec(), runner, rule)
         assert row["stop_reason"] == "converged"
         assert row["batches"] == 3
         assert row["packets"] == 24
@@ -180,31 +201,25 @@ class TestRunPointAdaptive:
     def test_cap_hits_when_never_converging(self):
         runner = _FixedSequenceRunner([0])
         rule = StopRule(rel_half_width=0.01, min_errors=1, max_packets=32)
-        row = run_point_adaptive(one_point(), runner, rule, batch_packets=8)
+        (row,) = run_adaptive(self.one_point_spec(), runner, rule)
         assert row["stop_reason"] == "max_packets"
         assert row["packets"] == 32
 
     def test_unbounded_rule_rejected(self):
-        with pytest.raises(ValueError):
-            run_point_adaptive(one_point(), _FixedSequenceRunner([0]),
-                               StopRule(rel_half_width=0.2))
-        with pytest.raises(ValueError):
-            run_point_adaptive(one_point(), _FixedSequenceRunner([0]), None)
-
-    def test_max_batches_escape_hatch(self):
-        row = run_point_adaptive(one_point(), _FixedSequenceRunner([0]),
-                                 StopRule(rel_half_width=0.01, min_errors=1),
-                                 batch_packets=8, max_batches=2)
-        assert row["stop_reason"] == "max_batches"
-        assert row["batches"] == 2
+        with pytest.raises(ValueError, match="unbounded"):
+            run_adaptive(self.one_point_spec(), _FixedSequenceRunner([0]),
+                         StopRule(rel_half_width=0.2))
+        with pytest.raises(ValueError, match="unbounded"):
+            AdaptiveTrajectory(self.one_point_spec(), stop=None,
+                               batch_packets=8)
 
     def test_missing_count_keys_are_reported(self):
         def bad_runner(batch):
             return {"bit_errors": 1}
 
         with pytest.raises(ValueError, match="trials|errors"):
-            run_point_adaptive(one_point(), bad_runner,
-                               StopRule(max_packets=8), batch_packets=8)
+            run_adaptive(self.one_point_spec(), bad_runner,
+                         StopRule(max_packets=8))
 
 
 class TestExtrasMerging:
@@ -243,15 +258,44 @@ class TestExtrasMerging:
         assert row["ber"] == pytest.approx(0.04)
 
 
-class TestAdaptiveScheduler:
+class TestRowSchema:
+    def zero_error_state(self):
+        state = AdaptivePointState(one_point())
+        state.consume(MeasurementBatch(state.point, 0, 8),
+                      {"errors": 0, "trials": 4800})
+        return state
+
+    def test_undefined_looseness_renders_as_null(self):
+        # Zero errors and no ber_floor: half-width / max(0, None) has no
+        # value, so the row says so instead of leaking half_width / 1e-300.
+        row = self.zero_error_state().row(StopRule(max_packets=8))
+        assert row["rel_half_width"] is None
+        assert json.loads(rows_to_json([row]))["rel_half_width"] is None
+        assert '"rel_half_width": null' in rows_to_json([row])
+        # No data at all: the ratio is undefined too.
+        empty = AdaptivePointState(one_point()).row(StopRule(max_packets=8))
+        assert empty["rel_half_width"] is None
+
+    def test_defined_looseness_is_the_ranking_value(self):
+        floored = StopRule(ber_floor=1e-4, max_packets=8)
+        zero = self.zero_error_state()
+        assert zero.row(floored)["rel_half_width"] \
+            == floored.looseness(zero.measurement)
+        noisy = AdaptivePointState(one_point())
+        noisy.consume(MeasurementBatch(noisy.point, 0, 8),
+                      {"errors": 30, "trials": 4800})
+        rule = StopRule(max_packets=8)
+        assert noisy.row(rule)["rel_half_width"] \
+            == rule.looseness(noisy.measurement)
+
+
+class TestAdaptiveExperiment:
     def rule(self):
         return StopRule(rel_half_width=0.25, min_errors=40, ber_floor=2e-3,
                         max_packets=48)
 
     def test_serial_rows_make_sense(self):
-        rows = AdaptiveScheduler(stop=self.rule(), batch_packets=8).run(
-            small_spec(), run_link_ber_batch
-        )
+        rows = run_adaptive(small_spec(), run_link_ber_batch, self.rule())
         assert [row["snr_db"] for row in rows] == [4.0, 6.0, 8.5]
         for row in rows:
             assert row["stop_reason"] in (
@@ -265,9 +309,8 @@ class TestAdaptiveScheduler:
         assert rows[0]["packets"] < rows[-1]["packets"]
 
     def test_default_chunk_runner_is_the_link_runner(self):
-        scheduler = AdaptiveScheduler(stop=self.rule(), batch_packets=8)
-        assert scheduler.run(small_spec()) == scheduler.run(
-            small_spec(), run_link_ber_batch
+        assert run_adaptive(small_spec(), None, self.rule()) == run_adaptive(
+            small_spec(), run_link_ber_batch, self.rule()
         )
 
     def test_serial_and_process_backends_are_bit_for_bit_identical(self):
@@ -275,22 +318,21 @@ class TestAdaptiveScheduler:
         and stop reasons included) on serial and 4-worker process backends."""
         spec = small_spec()
         stop = self.rule()
-        serial = AdaptiveScheduler(stop=stop, batch_packets=8, budget=96).run(
-            spec, run_link_ber_batch
-        )
-        process = AdaptiveScheduler(
-            stop=stop, batch_packets=8, budget=96,
+        serial = run_adaptive(spec, run_link_ber_batch, stop, budget=96)
+        process = run_adaptive(
+            spec, run_link_ber_batch, stop, budget=96,
             executor=SweepExecutor("process", max_workers=4, chunk_size=1),
-        ).run(spec, run_link_ber_batch)
+        )
         assert process == serial  # element-for-element, reasons and spend too
 
     def test_budget_exhaustion_stops_remaining_points(self):
         # Budget covers exactly one round of three batches: everything
         # unconverged after it stops with reason "budget".
-        rows = AdaptiveScheduler(
-            stop=StopRule(rel_half_width=0.01, min_errors=10**9, max_packets=10**6),
-            batch_packets=8, budget=24,
-        ).run(small_spec(), _FixedSequenceRunner([5]))
+        rows = run_adaptive(
+            small_spec(), _FixedSequenceRunner([5]),
+            StopRule(rel_half_width=0.01, min_errors=10**9, max_packets=10**6),
+            budget=24,
+        )
         assert [row["packets"] for row in rows] == [8, 8, 8]
         assert {row["stop_reason"] for row in rows} == {"budget"}
         assert sum(row["packets"] for row in rows) <= 24
@@ -305,10 +347,11 @@ class TestAdaptiveScheduler:
                     return {"errors": 2500, "trials": 10_000}
                 return {"errors": 0, "trials": 10_000}
 
-        rows = AdaptiveScheduler(
-            stop=StopRule(rel_half_width=0.2, min_errors=100, max_packets=80),
-            batch_packets=8, budget=96,
-        ).run(small_spec(), Runner())
+        rows = run_adaptive(
+            small_spec(), Runner(),
+            StopRule(rel_half_width=0.2, min_errors=100, max_packets=80),
+            budget=96,
+        )
         assert rows[0]["stop_reason"] == "converged"
         assert rows[0]["packets"] == 8
         # 96 - 8 = 88 packets left for the two loose points (=> 40 each in
@@ -317,29 +360,26 @@ class TestAdaptiveScheduler:
         assert sum(row["packets"] for row in rows) <= 96
 
     def test_pure_budget_mode_runs_round_robin(self):
-        rows = AdaptiveScheduler(stop=None, batch_packets=8, budget=48).run(
-            small_spec(), _FixedSequenceRunner([1])
-        )
+        rows = run_adaptive(small_spec(), _FixedSequenceRunner([1]),
+                            NEVER_STOP, budget=48)
         assert [row["packets"] for row in rows] == [16, 16, 16]
         assert {row["stop_reason"] for row in rows} == {"budget"}
 
     def test_unbounded_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveScheduler(stop=None)
-        with pytest.raises(ValueError):
-            AdaptiveScheduler(stop=StopRule(rel_half_width=0.2))
-        with pytest.raises(ValueError):
-            AdaptiveScheduler(stop=StopRule(max_packets=8), batch_packets=0)
-        with pytest.raises(ValueError):
-            AdaptiveScheduler(stop=StopRule(max_packets=8)).run(
-                small_spec(), _FixedSequenceRunner([1]), on_error="abort"
-            )
+        with pytest.raises(ValueError, match="unbounded"):
+            run_adaptive(small_spec(), _FixedSequenceRunner([1]),
+                         StopRule(rel_half_width=0.2))
+        with pytest.raises(ValueError, match="batch_packets"):
+            run_adaptive(small_spec(), _FixedSequenceRunner([1]),
+                         StopRule(max_packets=8), batch_packets=0)
+        with pytest.raises(ValueError, match="on_error"):
+            run_adaptive(small_spec(), _FixedSequenceRunner([1]),
+                         StopRule(max_packets=8), on_error="abort")
 
     def test_raise_mode_names_the_failing_batch(self):
         with pytest.raises(SweepError) as excinfo:
-            AdaptiveScheduler(stop=StopRule(max_packets=32), batch_packets=8).run(
-                small_spec(), fail_on_second_batch
-            )
+            run_adaptive(small_spec(), fail_on_second_batch,
+                         StopRule(max_packets=32))
         assert "batch=1" in str(excinfo.value)
         assert "decoder exploded" in str(excinfo.value)
 
@@ -350,10 +390,11 @@ class TestAdaptiveScheduler:
                     raise RuntimeError("bad point")
                 return {"errors": 1000, "trials": 2000}
 
-        rows = AdaptiveScheduler(
-            stop=StopRule(rel_half_width=0.3, min_errors=10, max_packets=16),
-            batch_packets=8,
-        ).run(small_spec(), FailAtSix(), on_error="capture")
+        rows = run_adaptive(
+            small_spec(), FailAtSix(),
+            StopRule(rel_half_width=0.3, min_errors=10, max_packets=16),
+            on_error="capture",
+        )
         assert rows[1]["stop_reason"] == "error"
         assert "bad point" in rows[1]["error"]
         assert rows[1]["packets"] == 0
@@ -368,9 +409,8 @@ class TestAdaptiveScheduler:
             def __call__(self, batch):
                 raise RuntimeError("boom")
 
-        rows = AdaptiveScheduler(stop=None, batch_packets=8, budget=8).run(
-            small_spec(snrs=(4.0, 6.0)), AlwaysFail(), on_error="capture"
-        )
+        rows = run_adaptive(small_spec(snrs=(4.0, 6.0)), AlwaysFail(),
+                            NEVER_STOP, budget=8, on_error="capture")
         # Budget funded exactly one batch; it went to the first point and
         # was spent even though the batch errored, so the second point got
         # nothing at all.
@@ -379,19 +419,17 @@ class TestAdaptiveScheduler:
         assert [row["packets"] for row in rows] == [0, 0]
 
     def test_batch_streams_are_what_the_scheduler_actually_uses(self):
-        # The seeds consumed by a scheduled run are exactly the per-batch
+        # The seeds consumed by an adaptive run are exactly the per-batch
         # derived streams, in batch order per point.
-        rows = AdaptiveScheduler(stop=StopRule(max_packets=16),
-                                 batch_packets=8).run(
-            small_spec(), seed_echo_runner
-        )
+        rows = run_adaptive(small_spec(), seed_echo_runner,
+                            StopRule(max_packets=16))
         for row, point in zip(rows, small_spec().points()):
             expected = [MeasurementBatch(point, k, 8).seed for k in range(2)]
             assert list(row["seeds"]) == expected
 
 
 class TestAdaptiveLinkPointRunner:
-    """run_link_ber_point's stop= mode and the satellite passthroughs."""
+    """The link runners' depth modes and the satellite passthroughs."""
 
     def constants(self, **extra):
         constants = dict(SMALL_CONSTANTS, num_packets=48)
@@ -403,39 +441,39 @@ class TestAdaptiveLinkPointRunner:
                           constants=self.constants(), seed=23)
         explicit = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
                              constants=self.constants(stop=None), seed=23)
-        (row_a,) = SweepExecutor("serial").run(fixed, run_link_ber_point)
-        (row_b,) = SweepExecutor("serial").run(explicit, run_link_ber_point)
+        (row_a,) = SweepExecutor("serial").run(fixed, run_scenario_point)
+        (row_b,) = SweepExecutor("serial").run(explicit, run_scenario_point)
         row_b.pop("stop")
         assert row_a == row_b
 
+    def test_stop_in_point_params_is_rejected(self):
+        # Adaptive depth is an Experiment argument: a stop rule smuggled in
+        # as a point parameter must fail, not quietly run at fixed depth.
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [5.0]},
+                         constants=self.constants(stop=StopRule(max_packets=8)),
+                         seed=23)
+        with pytest.raises(ValueError, match=r"Experiment\(stop=\.\.\.\)"):
+            run_scenario_point(list(spec)[0])
+
     def test_adaptive_mode_stops_early_and_reports_spend(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [4.0]},
-            constants=self.constants(
-                stop=StopRule(rel_half_width=0.25, min_errors=40),
-                batch_packets=8,
-            ),
-            seed=23,
-        )
-        (row,) = SweepExecutor("serial").run(spec, run_link_ber_point)
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [4.0]},
+                         constants=SMALL_CONSTANTS, seed=23)
+        (row,) = run_adaptive(
+            spec, stop=StopRule(rel_half_width=0.25, min_errors=40,
+                                max_packets=48))
         assert row["stop_reason"] == "converged"
-        assert row["packets"] < 48  # num_packets became the cap, not the depth
-        assert row["num_bits"] == row["packets"] * 600
+        assert row["packets"] < 48  # the cap bounds the depth, not sets it
+        assert row["trials"] == row["packets"] * 600
         assert row["ber_low"] <= row["ber"] <= row["ber_high"]
 
     def test_adaptive_rows_identical_across_backends(self):
-        spec = SweepSpec(
-            {"rate_mbps": [24], "snr_db": [4.0, 8.5]},
-            constants=self.constants(
-                stop=StopRule(rel_half_width=0.25, min_errors=40),
-                batch_packets=8,
-            ),
-            seed=23,
-        )
-        serial = SweepExecutor("serial").run(spec, run_link_ber_point)
-        process = SweepExecutor("process", max_workers=2, chunk_size=1).run(
-            spec, run_link_ber_point
-        )
+        spec = SweepSpec({"rate_mbps": [24], "snr_db": [4.0, 8.5]},
+                         constants=SMALL_CONSTANTS, seed=23)
+        stop = StopRule(rel_half_width=0.25, min_errors=40, max_packets=48)
+        serial = run_adaptive(spec, stop=stop)
+        process = run_adaptive(
+            spec, stop=stop,
+            executor=SweepExecutor("process", max_workers=2, chunk_size=1))
         assert process == serial
 
     def test_fading_passthrough_changes_the_channel(self):
@@ -449,35 +487,35 @@ class TestAdaptiveLinkPointRunner:
             ),
             seed=23,
         )
-        (clean,) = SweepExecutor("serial").run(awgn, run_link_ber_point)
-        (dirty,) = SweepExecutor("serial").run(faded, run_link_ber_point)
+        (clean,) = SweepExecutor("serial").run(awgn, run_scenario_point)
+        (dirty,) = SweepExecutor("serial").run(faded, run_scenario_point)
         # 12 dB AWGN is error-free at this size; Rayleigh fades are not.
         assert clean["bit_errors"] == 0
         assert dirty["bit_errors"] > 0
         # Deterministic: same spec, same rows (and picklable through a pool).
         (again,) = SweepExecutor("process", max_workers=1).run(
-            faded, run_link_ber_point
+            faded, run_scenario_point
         )
         assert again == dirty
 
     def test_fading_trace_is_batch_invariant(self):
         # The fading process is seeded per point, sampled at absolute packet
         # indices: an adaptive run's trace is one continuous process.
-        constants = self.constants(
-            num_packets=16,
-            fading={"doppler_hz": 200.0, "packet_interval_s": 0.01},
-            stop=StopRule(rel_half_width=1e-9, min_errors=10**9),  # cap-bound
+        spec = SweepSpec(
+            {"rate_mbps": [24], "snr_db": [8.0]},
+            constants=dict(SMALL_CONSTANTS, fading={"doppler_hz": 200.0,
+                                                    "packet_interval_s": 0.01}),
+            seed=23,
         )
+        stop = StopRule(rel_half_width=1e-9, min_errors=10**9,
+                        max_packets=16)  # cap-bound
         for batch_packets in (4, 8, 16):
-            constants["batch_packets"] = batch_packets
-            spec = SweepSpec({"rate_mbps": [24], "snr_db": [8.0]},
-                             constants=dict(constants), seed=23)
-            (row,) = SweepExecutor("serial").run(spec, run_link_ber_point)
+            (row,) = run_adaptive(spec, stop=stop, batch_packets=batch_packets)
             assert row["packets"] == 16
             # Different batch splits draw different noise, but the per-point
             # fading realisation they ride on is shared; the measured BER
             # must stay in the same fade-dominated ballpark.
-            assert row["bit_errors"] > 0
+            assert row["errors"] > 0
 
     def test_llr_format_passthrough_quantises(self):
         float_spec = SweepSpec({"rate_mbps": [24], "snr_db": [6.0]},
@@ -494,9 +532,9 @@ class TestAdaptiveLinkPointRunner:
             ),
             seed=23,
         )
-        (reference,) = SweepExecutor("serial").run(float_spec, run_link_ber_point)
-        (quantised,) = SweepExecutor("serial").run(coarse, run_link_ber_point)
-        (from_dict,) = SweepExecutor("serial").run(named, run_link_ber_point)
+        (reference,) = SweepExecutor("serial").run(float_spec, run_scenario_point)
+        (quantised,) = SweepExecutor("serial").run(coarse, run_scenario_point)
+        (from_dict,) = SweepExecutor("serial").run(named, run_scenario_point)
         # 3-bit quantisation must change the decode (same seed, same noise).
         assert quantised["ber"] != reference["ber"]
         assert from_dict["bit_errors"] == quantised["bit_errors"]
@@ -509,7 +547,7 @@ class TestAdaptiveLinkPointRunner:
                 seed=23,
             )
             with pytest.raises(SweepError, match="llr_format"):
-                SweepExecutor("serial").run(spec, run_link_ber_point)
+                SweepExecutor("serial").run(spec, run_scenario_point)
 
 
 class TestStopRuleSerialisation:
@@ -525,7 +563,7 @@ class TestStopRuleSerialisation:
 
 
 class TestAdaptiveTrajectory:
-    """The pull-based state machine must replay the scheduler exactly."""
+    """The pull-based state machine must replay ``Experiment.run`` exactly."""
 
     def rule(self):
         return StopRule(rel_half_width=0.25, min_errors=40, ber_floor=2e-3,
@@ -547,12 +585,11 @@ class TestAdaptiveTrajectory:
         return trajectory.rows()
 
     def test_hand_driven_trajectory_matches_the_scheduler(self):
-        scheduler_rows = AdaptiveScheduler(
-            stop=self.rule(), batch_packets=8, budget=96
-        ).run(small_spec(), run_link_ber_batch)
+        experiment_rows = run_adaptive(small_spec(), run_link_ber_batch,
+                                       self.rule(), budget=96)
         trajectory = AdaptiveTrajectory(small_spec(), stop=self.rule(),
                                         batch_packets=8, budget=96)
-        assert self.drive(trajectory, run_link_ber_batch) == scheduler_rows
+        assert self.drive(trajectory, run_link_ber_batch) == experiment_rows
 
     def test_consume_order_within_a_round_is_irrelevant(self):
         forward = AdaptiveTrajectory(small_spec(), stop=self.rule(),

@@ -11,8 +11,9 @@ its whole correctness story is *equivalence*:
   reduced-precision kernels (including the :class:`~repro.phy.demapper.LlrTable`
   fast path), so they agree with each other exactly and with the float64
   reference to BER-level tolerance.
-* The :class:`~repro.analysis.adaptive.AdaptiveScheduler`'s ``fused`` flag
-  is a pure throughput knob: rows with it on and off are identical.
+* Fusing an adaptive round is a pure throughput choice: ``Experiment.run``
+  with the built-in link runner (fused) and with a per-batch wrapper
+  around it (unfused) produces identical rows.
 * float32 results live under a *different* scenario content hash (and
   therefore a different store namespace) than float64 ones, while the
   float64 default leaves every pre-existing hash unchanged.
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.adaptive import (
-    AdaptiveScheduler,
     MeasurementBatch,
     StopRule,
     run_link_ber_batch,
@@ -34,8 +34,9 @@ from repro.analysis.fused import (
     plan_fused_round,
     run_fused_group,
 )
-from repro.analysis.scenario import Scenario
+from repro.analysis.scenario import Experiment, Scenario
 from repro.analysis.sweep import SweepSpec
+from repro.obs.phases import set_phase_hook
 from repro.phy.demapper import LlrTable, axis_soft_values
 from repro.phy.dtype import FLOAT32, FLOAT64, dtype_policy
 from repro.phy.params import RATE_TABLE
@@ -227,15 +228,37 @@ class TestPlanning:
         assert result["results"] == [run_link_ber_batch(b) for b in batches]
 
 
-class TestSchedulerKnob:
-    def test_fused_flag_is_bit_invisible(self):
+def per_batch_link_runner(batch):
+    """The built-in link runner under another identity.
+
+    Rounds fuse only when the chunk-runner *is*
+    :func:`~repro.analysis.adaptive.run_link_ber_batch`, so this wrapper
+    runs every batch through the per-batch reference path.
+    """
+    return run_link_ber_batch(batch)
+
+
+class TestFusedRound:
+    def run_traced(self, runner):
         spec = SweepSpec(
             {"rate_mbps": [24], "snr_db": [4.0, 6.0, 8.0]},
             constants={"decoder": "bcjr", "packet_bits": PACKET_BITS},
             seed=23)
         stop = StopRule(min_errors=20, max_packets=24)
-        fused_rows = AdaptiveScheduler(
-            stop=stop, batch_packets=8, fused=True).run(spec)
-        plain_rows = AdaptiveScheduler(
-            stop=stop, batch_packets=8, fused=False).run(spec)
+        phases = []
+        previous = set_phase_hook(lambda name, *_args: phases.append(name))
+        try:
+            rows = Experiment(sweep=spec, stop=stop, batch_packets=8,
+                              runner=runner).run()
+        finally:
+            set_phase_hook(previous)
+        return rows, set(phases)
+
+    def test_fusion_is_bit_invisible(self):
+        fused_rows, fused_phases = self.run_traced(None)
+        plain_rows, plain_phases = self.run_traced(per_batch_link_runner)
         assert fused_rows == plain_rows
+        # Both paths really ran: only a fused pass reports its own decode
+        # stage; the per-batch runner reports one opaque simulate phase.
+        assert "decode" in fused_phases
+        assert "decode" not in plain_phases and "link-simulate" in plain_phases
